@@ -6,8 +6,13 @@
 //! ```json
 //! {"trace":"solver","steps_accepted":...,"reject_newton":...,
 //!  "gmin_events":...,"source_step_events":...,"integrator_fallbacks":...,
-//!  "min_dt_used":...,"max_dt_used":...,"worst_unknown":null}
+//!  "min_dt_used":...,"max_dt_used":...,"worst_unknown":null,
+//!  "factor_nnz":...}
 //! ```
+//!
+//! `factor_nnz` is the L+U entry count of the run's last sparse
+//! factorization ([`tcam_spice::mna::SolveStats::factor_nnz`]), so a
+//! fill-in regression in the shared LU shows up in the record.
 //!
 //! Appended to a `BENCH_*.json` history this tracks solver *health* over
 //! time the way `perf_baseline` tracks speed: a ladder rung firing on the
@@ -40,7 +45,13 @@ fn main() {
         .waveform
         .solver_trace()
         .expect("transient records a solver trace");
-    let line = trace.to_json_line();
+    let stats = search
+        .waveform
+        .stats()
+        .expect("transient records solve stats");
+    let mut line = trace.to_json_line();
+    line.pop(); // reopen the object to append the fill count
+    line.push_str(&format!(",\"factor_nnz\":{}}}", stats.factor_nnz));
     println!("{line}");
 
     if tcam_bench::has_flag("check") {
@@ -82,5 +93,8 @@ fn check_record(line: &str) {
     }
     if !obj.iter().any(|(k, _)| k == "worst_unknown") {
         bail("\"worst_unknown\" field missing".into());
+    }
+    if field("factor_nnz") <= 0.0 {
+        bail("no factorization fill recorded".into());
     }
 }

@@ -203,4 +203,30 @@ mod tests {
         let key = parse_ternary("10").unwrap();
         assert!(run_array_search(&d, &small, &words, &key).is_err());
     }
+
+    #[test]
+    fn factor_fill_is_linear_in_words() {
+        // Words couple only through the shared search lines, so with a
+        // fill-reducing order the L+U size per word must not grow with
+        // the word count (natural order grew it linearly: quadratic fill).
+        let cols = 16;
+        let per_word = |n_words: usize| {
+            let spec = ArraySpec {
+                rows: n_words,
+                cols,
+                vdd: 1.0,
+            };
+            let key = crate::experiments::pattern_word(cols);
+            let words = vec![key.clone(); n_words];
+            let res = run_array_search(&Nem3t2n::default(), &spec, &words, &key).unwrap();
+            assert!(res.functional_ok);
+            let stats = res.waveform.stats().expect("transient records solve stats");
+            stats.factor_nnz as f64 / n_words as f64
+        };
+        let (small, large) = (per_word(8), per_word(32));
+        assert!(
+            large <= 1.5 * small && small <= 1.5 * large,
+            "L+U entries per word: {small} at 8 words, {large} at 32"
+        );
+    }
 }

@@ -7,11 +7,11 @@
 //! * [`sparse`] — triplet assembly and compressed-sparse-column storage
 //!   for large circuit matrices.
 //! * [`sparse_lu`] — a left-looking (Gilbert–Peierls style) sparse LU
-//!   factorization with partial pivoting and a reusable symbolic pattern.
+//!   factorization with a fill-reducing (approximate minimum degree)
+//!   column order, threshold partial pivoting and a reusable symbolic
+//!   pattern.
 //! * [`roots`] — scalar root finding (bisection, Brent) used for device
 //!   calibration (e.g. solving pull-in voltage for a beam stiffness).
-//! * [`ode`] — explicit Runge–Kutta integrators for standalone device
-//!   dynamics (NEM beam ballistics) outside the circuit engine.
 //! * [`interp`] — piecewise-linear evaluation used by PWL sources and
 //!   waveform post-processing.
 //! * [`stats`] — summary statistics for Monte-Carlo and architectural
@@ -41,16 +41,15 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+mod amd;
 pub mod dense;
 pub mod interp;
-pub mod ode;
 pub mod parallel;
 pub mod rng;
 pub mod roots;
 pub mod sparse;
 pub mod sparse_lu;
 pub mod stats;
-pub mod vector;
 
 use std::fmt;
 
@@ -66,13 +65,15 @@ pub enum NumericError {
     },
     /// A factorization encountered an (numerically) singular pivot.
     SingularMatrix {
-        /// Pivot column at which elimination broke down.
+        /// Matrix column (original index, not elimination step) at which
+        /// elimination broke down.
         column: usize,
     },
     /// A reused (symbolic) pivot order degraded on the new values; the
     /// caller should fall back to a fresh full-pivoting factorization.
     PivotDegraded {
-        /// Pivot column at which the reused pivot failed the growth check.
+        /// Matrix column (original index) whose reused pivot failed the
+        /// growth check.
         column: usize,
     },
     /// An iterative routine failed to converge within its budget.

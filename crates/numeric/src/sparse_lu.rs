@@ -1,36 +1,51 @@
 //! Sparse LU factorization (left-looking, partial pivoting) with a
-//! reusable symbolic phase.
+//! fill-reducing column order and a reusable symbolic phase.
 //!
 //! This is a Gilbert–Peierls-style factorization specialized for circuit
 //! matrices: column-by-column elimination with a dense working column
-//! (a SPAX vector), partial pivoting by magnitude, and L/U stored in CSC
+//! (a SPAX vector), threshold partial pivoting, and L/U stored in CSC
 //! form. For the matrix sizes the TCAM experiments produce (10²–10⁴
 //! unknowns with a few entries per row) this comfortably beats dense LU
 //! while staying simple enough to verify exhaustively against
 //! [`crate::dense::DenseMatrix::lu`].
 //!
+//! As in KLU (Davis & Palamadai Natarajan, ACM TOMS 37(3), 2010), the
+//! columns are eliminated in an approximate-minimum-degree order `q`
+//! computed on the pattern of `A + Aᵀ` (the crate's `amd` module), and the
+//! pivot of column `q[k]` is its diagonal row `q[k]` whenever that entry is
+//! within [`REFACTOR_PIVOT_TOL`] of the column's largest candidate, which
+//! keeps the symmetric order's low fill; otherwise (e.g. the structurally
+//! zero diagonal of a voltage-source branch row) the largest candidate
+//! wins. The factorization is `P·A·Q = L·U`.
+//!
 //! Circuit matrices have a **fixed sparsity pattern** across Newton
 //! iterations and time steps — only the values change. [`SparseLu::factorize`]
-//! therefore captures the full symbolic result (column elimination
-//! patterns, pivot order, preallocated L/U storage), and
+//! therefore captures the full symbolic result (column order, column
+//! elimination patterns, pivot order, preallocated L/U storage), and
 //! [`SparseLu::refactorize`] redoes only the numeric elimination over that
 //! pattern with **zero allocation**, which is the production-SPICE
 //! (KLU-style) split between symbolic and numeric factorization. A pivot
 //! growth check guards the reused pivot order: when the new values make a
 //! reused pivot relatively tiny, `refactorize` reports
-//! [`NumericError::PivotDegraded`] and the caller falls back to a fresh
-//! full-pivoting [`SparseLu::factorize`].
+//! [`NumericError::PivotDegraded`] and the caller re-pivots with
+//! [`SparseLu::factorize_with_order`], reusing the cached column order —
+//! the order depends only on the pattern, so it is computed once.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use crate::amd::amd_order;
 use crate::sparse::CscMatrix;
 use crate::{NumericError, Result};
 
-/// Relative pivot-growth threshold for [`SparseLu::refactorize`]: a reused
-/// pivot smaller than this fraction of the largest candidate magnitude in
-/// its column triggers the full-pivoting fallback. The same 1e-3 default as
-/// KLU's partial-pivot tolerance.
+/// Relative pivot threshold, the same 1e-3 default as KLU's partial-pivot
+/// tolerance. [`SparseLu::factorize`] keeps the diagonal pivot when it is at
+/// least this fraction of the largest candidate magnitude in its column;
+/// [`SparseLu::refactorize`] reports a reused pivot below this fraction as
+/// degraded.
 const REFACTOR_PIVOT_TOL: f64 = 1e-3;
 
-/// A sparse LU factorization `P·A = L·U` of a square [`CscMatrix`].
+/// A sparse LU factorization `P·A·Q = L·U` of a square [`CscMatrix`].
 ///
 /// The L/U **pattern** stored here is structural: every position reachable
 /// by the elimination is kept even when its first numeric value happens to
@@ -50,6 +65,8 @@ pub struct SparseLu {
     u_values: Vec<f64>,
     /// Row permutation: `perm[k]` is the original row index placed at row k.
     perm: Vec<usize>,
+    /// Column order: `q[k]` is the original column eliminated at step k.
+    q: Vec<usize>,
     /// Dense working column (original-row indexed), kept zeroed between
     /// calls so `refactorize` allocates nothing.
     work: Vec<f64>,
@@ -58,8 +75,9 @@ pub struct SparseLu {
 }
 
 impl SparseLu {
-    /// Factorizes `a` from scratch, choosing a fresh pivot order by partial
-    /// (magnitude) pivoting and capturing the symbolic pattern for later
+    /// Factorizes `a` from scratch: computes the fill-reducing column order
+    /// from `a`'s pattern, then chooses pivots by threshold partial pivoting
+    /// and captures the symbolic pattern for later
     /// [`SparseLu::refactorize`] calls.
     ///
     /// # Errors
@@ -68,12 +86,38 @@ impl SparseLu {
     /// [`NumericError::SingularMatrix`] when no usable pivot exists in a
     /// column.
     pub fn factorize(a: &CscMatrix) -> Result<Self> {
-        if a.n_rows() != a.n_cols() {
+        check_square(a)?;
+        Self::factorize_ordered(a, amd_order(a))
+    }
+
+    /// Factorizes `a` from scratch with a given column order `q` (`q[k]` is
+    /// the column eliminated at step k), re-choosing every pivot. This is
+    /// the fallback after [`NumericError::PivotDegraded`]: pass the cached
+    /// [`SparseLu::column_order`] of the same pattern, so the ordering is
+    /// not recomputed.
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseLu::factorize`], plus [`NumericError::DimensionMismatch`]
+    /// when `q` is not a permutation of `0..n`.
+    pub fn factorize_with_order(a: &CscMatrix, q: &[usize]) -> Result<Self> {
+        check_square(a)?;
+        let n = a.n_rows();
+        let mut seen = vec![false; n];
+        if q.len() != n
+            || !q
+                .iter()
+                .all(|&c| c < n && !std::mem::replace(&mut seen[c], true))
+        {
             return Err(NumericError::DimensionMismatch {
-                expected: "square matrix".into(),
-                found: format!("{}x{}", a.n_rows(), a.n_cols()),
+                expected: format!("a permutation of 0..{n}"),
+                found: format!("column order of len {}", q.len()),
             });
         }
+        Self::factorize_ordered(a, q.to_vec())
+    }
+
+    fn factorize_ordered(a: &CscMatrix, q: Vec<usize>) -> Result<Self> {
         let n = a.n_rows();
         // pinv[orig_row] = factored position, or usize::MAX while unpivoted.
         let mut pinv = vec![usize::MAX; n];
@@ -90,6 +134,8 @@ impl SparseLu {
         let mut work = vec![0.0_f64; n];
         let mut pattern: Vec<usize> = Vec::with_capacity(n);
         let mut in_pattern = vec![false; n];
+        // Pivot steps still to apply to the current column, smallest first.
+        let mut pending: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
         // Scratch for sorting one U column by pivot row.
         let mut u_col_sort: Vec<(usize, f64)> = Vec::with_capacity(n);
 
@@ -97,41 +143,48 @@ impl SparseLu {
         let row_idx = a.row_idx();
         let values = a.values();
 
-        for k in 0..n {
-            // Scatter column k of A into the working vector.
+        for (k, &col) in q.iter().enumerate() {
+            // Scatter column q[k] of A into the working vector.
             pattern.clear();
-            for idx in col_ptr[k]..col_ptr[k + 1] {
+            for idx in col_ptr[col]..col_ptr[col + 1] {
                 let r = row_idx[idx];
                 work[r] = values[idx];
                 if !in_pattern[r] {
                     in_pattern[r] = true;
                     pattern.push(r);
+                    if pinv[r] != usize::MAX {
+                        pending.push(Reverse(pinv[r]));
+                    }
                 }
             }
 
             // Left-looking update: eliminate with every previous pivot column
             // j < k whose pivot row appears in the working pattern, in
-            // ascending pivot order so fill-in cascades correctly. The merge
-            // is purely structural — a numerically zero multiplier still
-            // contributes its fill pattern, so the captured pattern stays
-            // valid for any later values (refactorize depends on this).
-            for j in 0..k {
-                let pr = perm[j];
-                if !in_pattern[pr] {
-                    continue;
-                }
-                let ujk = work[pr];
+            // ascending pivot order so fill-in cascades correctly. A row that
+            // L column j brings into the pattern was unpivoted at step j, so
+            // its own pivot step (if any) is later than j and the heap keeps
+            // the order ascending. The merge is purely structural — a
+            // numerically zero multiplier still contributes its fill pattern,
+            // so the captured pattern stays valid for any later values
+            // (refactorize depends on this).
+            while let Some(Reverse(j)) = pending.pop() {
+                let ujk = work[perm[j]];
                 for idx in l_col_ptr[j]..l_col_ptr[j + 1] {
                     let r = l_row_idx[idx];
                     if !in_pattern[r] {
                         in_pattern[r] = true;
                         pattern.push(r);
+                        if pinv[r] != usize::MAX {
+                            pending.push(Reverse(pinv[r]));
+                        }
                     }
                     work[r] -= l_values[idx] * ujk;
                 }
             }
 
-            // Partial pivot among not-yet-pivoted rows in the pattern.
+            // Threshold partial pivot among not-yet-pivoted pattern rows:
+            // the diagonal row q[k] when it is within REFACTOR_PIVOT_TOL of
+            // the largest candidate, else the largest candidate.
             let mut piv_row = usize::MAX;
             let mut piv_mag = 0.0_f64;
             for &r in &pattern {
@@ -144,7 +197,10 @@ impl SparseLu {
                 }
             }
             if piv_row == usize::MAX || piv_mag < f64::MIN_POSITIVE || !piv_mag.is_finite() {
-                return Err(NumericError::SingularMatrix { column: k });
+                return Err(NumericError::SingularMatrix { column: col });
+            }
+            if pinv[col] == usize::MAX && work[col].abs() >= REFACTOR_PIVOT_TOL * piv_mag {
+                piv_row = col;
             }
             let pivot = work[piv_row];
             perm[k] = piv_row;
@@ -194,6 +250,7 @@ impl SparseLu {
             u_row_idx,
             u_values,
             perm,
+            q,
             work,
             scratch: vec![0.0; n],
         })
@@ -213,7 +270,8 @@ impl SparseLu {
     /// * [`NumericError::PivotDegraded`] when a reused pivot fails the
     ///   relative growth check (or became exactly zero / non-finite). The
     ///   factorization content is unspecified afterwards; the caller must
-    ///   fall back to [`SparseLu::factorize`].
+    ///   fall back to [`SparseLu::factorize_with_order`] with this
+    ///   factorization's [`SparseLu::column_order`].
     pub fn refactorize(&mut self, a: &CscMatrix) -> Result<()> {
         if a.n_rows() != self.n || a.n_cols() != self.n {
             return Err(NumericError::DimensionMismatch {
@@ -226,8 +284,9 @@ impl SparseLu {
         let values = a.values();
 
         for k in 0..self.n {
-            // Scatter column k of A (work is zeroed between columns).
-            for idx in col_ptr[k]..col_ptr[k + 1] {
+            // Scatter column q[k] of A (work is zeroed between columns).
+            let col = self.q[k];
+            for idx in col_ptr[col]..col_ptr[col + 1] {
                 self.work[row_idx[idx]] = values[idx];
             }
 
@@ -259,7 +318,7 @@ impl SparseLu {
             {
                 // Leave the workspace clean for the next attempt.
                 self.work.fill(0.0);
-                return Err(NumericError::PivotDegraded { column: k });
+                return Err(NumericError::PivotDegraded { column: col });
             }
             self.u_values[uhi - 1] = pivot;
 
@@ -334,7 +393,7 @@ impl SparseLu {
         for k in 0..self.n {
             gather[k] = x[self.perm[k]];
         }
-        // Back solve U x = z. U column k: off-diagonals (rows < k) then
+        // Back solve U z = y. U column k: off-diagonals (rows < k) then
         // diagonal last.
         for k in (0..self.n).rev() {
             let lo = self.u_col_ptr[k];
@@ -348,7 +407,10 @@ impl SparseLu {
                 }
             }
         }
-        x.copy_from_slice(gather);
+        // Undo the column order: x = Q z.
+        for (k, &col) in self.q.iter().enumerate() {
+            x[col] = gather[k];
+        }
     }
 
     /// System dimension.
@@ -361,6 +423,24 @@ impl SparseLu {
     #[must_use]
     pub fn factor_nnz(&self) -> usize {
         self.l_values.len() + self.u_values.len()
+    }
+
+    /// The column elimination order: entry k is the original column
+    /// eliminated at step k.
+    #[must_use]
+    pub fn column_order(&self) -> &[usize] {
+        &self.q
+    }
+}
+
+fn check_square(a: &CscMatrix) -> Result<()> {
+    if a.n_rows() == a.n_cols() {
+        Ok(())
+    } else {
+        Err(NumericError::DimensionMismatch {
+            expected: "square matrix".into(),
+            found: format!("{}x{}", a.n_rows(), a.n_cols()),
+        })
     }
 }
 
@@ -432,6 +512,7 @@ pub struct BatchedLu {
     u_col_ptr: Vec<usize>,
     u_row_idx: Vec<usize>,
     perm: Vec<usize>,
+    q: Vec<usize>,
     // SoA numeric planes: `[entry * n_lanes + lane]`.
     l_values: Vec<f64>,
     u_values: Vec<f64>,
@@ -478,12 +559,21 @@ impl BatchedLu {
             u_col_ptr: seed.u_col_ptr.clone(),
             u_row_idx: seed.u_row_idx.clone(),
             perm: seed.perm.clone(),
+            q: seed.q.clone(),
             l_values,
             u_values,
             work: vec![0.0; n * n_lanes],
             lane_tmp: vec![0.0; n_lanes],
             gather: vec![0.0; n * n_lanes],
         }
+    }
+
+    /// The shared column elimination order (see [`SparseLu::column_order`]);
+    /// a lane that degrades re-pivots privately with
+    /// [`SparseLu::factorize_with_order`] over this order.
+    #[must_use]
+    pub fn column_order(&self) -> &[usize] {
+        &self.q
     }
 
     /// Copies one lane's solution/right-hand-side plane into a contiguous
@@ -536,8 +626,9 @@ impl SweepBackend for BatchedLu {
         for k in 0..self.n {
             let all_live = live.iter().all(|&a| a);
 
-            // Scatter column k of A into the working planes.
-            for idx in col_ptr[k]..col_ptr[k + 1] {
+            // Scatter column q[k] of A into the working planes.
+            let col = self.q[k];
+            for idx in col_ptr[col]..col_ptr[col + 1] {
                 let r = row_idx[idx];
                 let src = &values[idx * nl..(idx + 1) * nl];
                 let dst = &mut self.work[r * nl..(r + 1) * nl];
@@ -619,7 +710,7 @@ impl SweepBackend for BatchedLu {
                     || pivot.abs() < f64::MIN_POSITIVE
                     || pivot.abs() < REFACTOR_PIVOT_TOL * cand_max
                 {
-                    status[lane] = Some(NumericError::PivotDegraded { column: k });
+                    status[lane] = Some(NumericError::PivotDegraded { column: col });
                     live[lane] = false;
                     // Leave this lane's workspace clean (the scalar path
                     // zeroes its whole work vector on failure).
@@ -765,10 +856,10 @@ impl SweepBackend for BatchedLu {
             }
         }
 
-        // Copy the solutions back out.
-        for k in 0..self.n {
+        // Copy the solutions back out through the column order: x = Q z.
+        for (k, &col) in self.q.iter().enumerate() {
             let src = &self.gather[k * nl..(k + 1) * nl];
-            let dst = &mut x[k * nl..(k + 1) * nl];
+            let dst = &mut x[col * nl..(col + 1) * nl];
             if all {
                 dst.copy_from_slice(src);
             } else {
@@ -860,17 +951,146 @@ mod tests {
         (a, b)
     }
 
+    /// A bordered (arrow) random pattern with the border first: row and
+    /// column 0 couple to every unknown, as a shared supply line does in
+    /// an array netlist. Natural order fills it completely.
+    fn arrow_system(n: usize, rng: &mut SplitMix64) -> (CscMatrix, Vec<f64>) {
+        let mut t = TripletMatrix::new(n, n);
+        t.add(0, 0, n as f64);
+        for i in 1..n {
+            t.add(i, i, 3.0 + rng.uniform(-0.5, 0.5));
+            t.add(0, i, rng.uniform(-0.5, 0.5));
+            t.add(i, 0, rng.uniform(-0.5, 0.5));
+        }
+        let (a, _) = t.to_csc().unwrap();
+        let b: Vec<f64> = (0..n).map(|_| rng.uniform(-0.5, 0.5)).collect();
+        (a, b)
+    }
+
+    fn is_permutation(q: &[usize], n: usize) -> bool {
+        let mut seen = vec![false; n];
+        q.len() == n
+            && q.iter()
+                .all(|&c| c < n && !std::mem::replace(&mut seen[c], true))
+    }
+
+    fn assert_matches_dense(a: &CscMatrix, b: &[f64], what: &str) {
+        let xs = SparseLu::factorize(a).unwrap().solve(b).unwrap();
+        let xd = a.to_dense().solve(b).unwrap();
+        for (s, d) in xs.iter().zip(&xd) {
+            assert!((s - d).abs() < 1e-9, "{what}: {s} vs {d}");
+        }
+    }
+
     #[test]
     fn matches_dense_on_random_systems() {
         let mut rng = SplitMix64::new(0x9E37_79B9);
         for n in [2usize, 5, 12, 30, 64] {
             let (a, b) = ring_system(n, &mut rng);
-            let xs = SparseLu::factorize(&a).unwrap().solve(&b).unwrap();
-            let xd = a.to_dense().solve(&b).unwrap();
-            for (s, d) in xs.iter().zip(&xd) {
-                assert!((s - d).abs() < 1e-9, "n={n}");
+            assert_matches_dense(&a, &b, &format!("ring n={n}"));
+            let (a, b) = arrow_system(n, &mut rng);
+            assert_matches_dense(&a, &b, &format!("arrow n={n}"));
+        }
+    }
+
+    #[test]
+    fn column_order_is_a_permutation() {
+        let mut rng = SplitMix64::new(5);
+        for n in [1usize, 2, 7, 40, 300] {
+            for (a, _) in [ring_system(n, &mut rng), arrow_system(n, &mut rng)] {
+                let lu = SparseLu::factorize(&a).unwrap();
+                assert!(is_permutation(lu.column_order(), n), "n={n}");
             }
         }
+    }
+
+    #[test]
+    fn arrow_with_border_first_has_linear_fill() {
+        let mut rng = SplitMix64::new(17);
+        let n = 200;
+        let (a, b) = arrow_system(n, &mut rng);
+        let lu = SparseLu::factorize(&a).unwrap();
+        assert!(
+            lu.factor_nnz() <= 2 * a.nnz(),
+            "ordered fill {} vs nnz(A) {}",
+            lu.factor_nnz(),
+            a.nnz()
+        );
+        // Natural order eliminates the border first and fills everything.
+        let identity: Vec<usize> = (0..n).collect();
+        let natural = SparseLu::factorize_with_order(&a, &identity).unwrap();
+        assert!(
+            natural.factor_nnz() >= n * n,
+            "natural fill {}",
+            natural.factor_nnz()
+        );
+        let (xo, xn) = (lu.solve(&b).unwrap(), natural.solve(&b).unwrap());
+        for (o, m) in xo.iter().zip(&xn) {
+            assert!((o - m).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn structurally_zero_diagonal_forces_off_diagonal_pivot() {
+        // MNA of a grounded voltage source E driving node a, with node a
+        // tied to node b by G2 and both nodes to ground (G1, G3). Unknowns:
+        // i_src, v_a, v_b. The branch row 0 has no diagonal entry, and its
+        // column has the lowest degree, so it is eliminated first while
+        // nothing has filled its diagonal yet.
+        let (g1, g2, g3, e) = (1e-3, 2e-3, 5e-4, 0.8);
+        let mut t = TripletMatrix::new(3, 3);
+        t.add(1, 1, g1 + g2);
+        t.add(1, 2, -g2);
+        t.add(2, 1, -g2);
+        t.add(2, 2, g2 + g3);
+        t.add(1, 0, 1.0);
+        t.add(0, 1, 1.0);
+        let (a, _) = t.to_csc().unwrap();
+        let lu = SparseLu::factorize(&a).unwrap();
+        assert_eq!(lu.column_order()[0], 0, "branch column first");
+        assert_eq!(lu.perm[0], 1, "its pivot is the node-a row");
+        let b = [e, 0.0, 0.0];
+        let x = lu.solve(&b).unwrap();
+        assert!((x[1] - e).abs() < 1e-12);
+        assert!((x[2] - e * g2 / (g2 + g3)).abs() < 1e-12);
+        assert!(residual_inf(&a, &x, &b) < 1e-12);
+    }
+
+    #[test]
+    fn pivot_degraded_fallback_keeps_cached_order() {
+        let mut rng = SplitMix64::new(0xDE6);
+        let n = 30;
+        let (a0, b) = arrow_system(n, &mut rng);
+        let mut lu = SparseLu::factorize(&a0).unwrap();
+        let q0 = lu.column_order().to_vec();
+        // Shrink leaf 5's diagonal far below its border coupling: the
+        // reused diagonal pivot for column 5 is no longer acceptable.
+        let mut a1 = a0.clone();
+        for idx in a0.col_ptr()[5]..a0.col_ptr()[6] {
+            if a0.row_idx()[idx] == 5 {
+                a1.values_mut()[idx] = 1e-9;
+            }
+        }
+        assert_eq!(
+            lu.refactorize(&a1),
+            Err(NumericError::PivotDegraded { column: 5 })
+        );
+        let fresh = SparseLu::factorize_with_order(&a1, lu.column_order()).unwrap();
+        assert_eq!(fresh.column_order(), q0.as_slice());
+        assert_ne!(
+            fresh.perm, lu.perm,
+            "column 5 must now pivot off the diagonal"
+        );
+        let x = fresh.solve(&b).unwrap();
+        assert!(residual_inf(&a1, &x, &b) < 1e-9);
+        // Not a permutation of 0..n: rejected, not mis-factored.
+        assert!(matches!(
+            SparseLu::factorize_with_order(&a1, &q0[1..]),
+            Err(NumericError::DimensionMismatch { .. })
+        ));
+        let mut dup = q0.clone();
+        dup[1] = dup[0];
+        assert!(SparseLu::factorize_with_order(&a1, &dup).is_err());
     }
 
     #[test]
@@ -1044,18 +1264,27 @@ mod tests {
     fn batched_lane_is_bit_identical_to_scalar() {
         // Each lane: same pattern, different values. Every lane's solution
         // must match the scalar factorize-once-then-refactorize path BIT
-        // FOR BIT (identical op order), including the seeded lane 0.
+        // FOR BIT (identical op order), including the seeded lane 0 — on
+        // patterns whose column order is not the identity.
         let mut rng = SplitMix64::new(0xBA7C);
-        let n = 40;
-        let n_lanes = 7;
-        let (a0, _) = ring_system(n, &mut rng);
+        let ring = ring_system(40, &mut rng).0;
+        let arrow = arrow_system(40, &mut rng).0;
+        for a0 in [ring, arrow] {
+            let q = SparseLu::factorize(&a0).unwrap().column_order().to_vec();
+            assert!(q.iter().enumerate().any(|(k, &c)| k != c), "{q:?}");
+            assert_batched_lanes_match_scalar(&a0, 7, &mut rng);
+        }
+    }
+
+    fn assert_batched_lanes_match_scalar(a0: &CscMatrix, n_lanes: usize, rng: &mut SplitMix64) {
+        let n = a0.n_rows();
         let mut lane_mats: Vec<CscMatrix> = vec![a0.clone()];
         for _ in 1..n_lanes {
             let mut a = a0.clone();
             for idx in 0..a.values().len() {
                 let on_diag = a0.values()[idx].abs() >= 2.0;
                 a.values_mut()[idx] = if on_diag {
-                    3.0 + rng.uniform(-0.5, 0.5)
+                    a0.values()[idx] + rng.uniform(-0.5, 0.5)
                 } else {
                     rng.uniform(-0.5, 0.5)
                 };
@@ -1082,6 +1311,7 @@ mod tests {
         let mut batch = BatchedLu::from_seed(&seed, n_lanes, 0);
         assert_eq!(batch.n(), n);
         assert_eq!(batch.n_lanes(), n_lanes);
+        assert_eq!(batch.column_order(), seed.column_order());
         let values_plane = {
             let vals: Vec<Vec<f64>> = lane_mats.iter().map(|m| m.values().to_vec()).collect();
             to_plane(&vals)
@@ -1089,7 +1319,7 @@ mod tests {
         let mut active = vec![true; n_lanes];
         active[0] = false; // lane 0 keeps the installed factorize factors
         let mut status = vec![None; n_lanes];
-        batch.refactorize_lanes(&a0, &values_plane, &active, &mut status);
+        batch.refactorize_lanes(a0, &values_plane, &active, &mut status);
         assert!(status.iter().all(Option::is_none), "{status:?}");
 
         let mut x = to_plane(&rhs);

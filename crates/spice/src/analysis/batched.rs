@@ -141,8 +141,8 @@ fn any(mask: &[bool]) -> bool {
 /// One pattern pass (verified identical across lanes) produces the shared
 /// compressed structure; each lane's refill scatters its values into an SoA
 /// plane consumed by the batched LU. A lane whose reused pivot order
-/// degrades falls back to a private full-pivoting [`SparseLu`] — it leaves
-/// the shared fast path but stays in lockstep.
+/// degrades falls back to a private [`SparseLu`] re-pivoted over the shared
+/// column order — it leaves the shared fast path but stays in lockstep.
 struct BatchedMna {
     index: UnknownIndex,
     n_lanes: usize,
@@ -396,6 +396,11 @@ impl BatchedMna {
                 match SparseLu::factorize(&self.csc) {
                     Ok(seed) => {
                         self.stats[lane].fresh_factorizations += 1;
+                        // Every lane shares the seed's fill until it
+                        // re-pivots privately.
+                        for s in &mut self.stats {
+                            s.factor_nnz = seed.factor_nnz();
+                        }
                         self.backend = Some(BatchedLu::from_seed(&seed, nl, lane));
                         just_seeded = Some(lane);
                         break;
@@ -431,13 +436,16 @@ impl BatchedMna {
                     None => self.stats[lane].refactorizations += 1,
                     Some(NumericError::PivotDegraded { .. }) => {
                         // The shared pivot order went bad for this lane's
-                        // values: give it a private fresh factorization.
+                        // values: give it a private fresh factorization over
+                        // the shared column order.
                         batch_mask[lane] = false;
                         self.gather_values_into_csc(lane);
                         let _obs = tcam_obs::span!("lu_factorize");
-                        match SparseLu::factorize(&self.csc) {
+                        let q = self.backend.as_ref().expect("seeded above").column_order();
+                        match SparseLu::factorize_with_order(&self.csc, q) {
                             Ok(lu) => {
                                 self.stats[lane].fresh_factorizations += 1;
+                                self.stats[lane].factor_nnz = lu.factor_nnz();
                                 self.overrides[lane] = Some(lu);
                             }
                             Err(e) => errs[lane] = Some(e),
@@ -471,9 +479,11 @@ impl BatchedMna {
                 Ok(()) => self.stats[lane].refactorizations += 1,
                 Err(NumericError::PivotDegraded { .. }) => {
                     let _obs = tcam_obs::span!("lu_factorize");
-                    match SparseLu::factorize(&self.csc) {
+                    let q = self.backend.as_ref().expect("seeded above").column_order();
+                    match SparseLu::factorize_with_order(&self.csc, q) {
                         Ok(lu) => {
                             self.stats[lane].fresh_factorizations += 1;
+                            self.stats[lane].factor_nnz = lu.factor_nnz();
                             self.overrides[lane] = Some(lu);
                         }
                         Err(e) => errs[lane] = Some(e),

@@ -32,6 +32,9 @@ pub struct SolveStats {
     pub steps_accepted: usize,
     /// Transient steps rejected (Newton failure or LTE).
     pub steps_rejected: usize,
+    /// Stored L+U entries of the most recent factorization (fill-in; n² on
+    /// the dense path). Unlike the counters this is a level, not a sum.
+    pub factor_nnz: usize,
 }
 
 /// Records the stamp pattern during the build pass. Shared with the batched
@@ -291,7 +294,7 @@ impl MnaSystem {
                         false
                     }
                     // The reused pivot order went bad numerically — fall back
-                    // to a fresh factorization with full partial pivoting.
+                    // to a fresh partial-pivoting factorization.
                     Err(NumericError::PivotDegraded { .. }) => true,
                     Err(e) => return Err(e.into()),
                 }
@@ -301,7 +304,14 @@ impl MnaSystem {
         if need_fresh {
             let _obs = tcam_obs::span!("lu_factorize");
             self.stats.fresh_factorizations += 1;
-            self.lu = Some(SparseLu::factorize(&self.csc)?);
+            // The column order depends only on the pattern: compute it once
+            // and re-pivot over the cached order on every later fallback.
+            let lu = match &self.lu {
+                Some(lu) => SparseLu::factorize_with_order(&self.csc, lu.column_order())?,
+                None => SparseLu::factorize(&self.csc)?,
+            };
+            self.stats.factor_nnz = lu.factor_nnz();
+            self.lu = Some(lu);
         }
         let _obs = tcam_obs::span!("back_solve");
         out.resize(self.rhs.len(), 0.0);
@@ -323,6 +333,7 @@ impl MnaSystem {
         }
         // Dense LU always pivots from scratch, so it counts as fresh.
         self.stats.fresh_factorizations += 1;
+        self.stats.factor_nnz = self.rhs.len() * self.rhs.len();
         let _obs = tcam_obs::span!("back_solve");
         let lu = self.dense_lu.as_ref().expect("factorized above");
         lu.solve_into(&self.rhs, out)?;
