@@ -218,6 +218,14 @@ pub(crate) fn amd_order(a: &CscMatrix) -> Vec<usize> {
     order
 }
 
+/// Whether `q` is a permutation of `0..n`.
+pub(crate) fn is_permutation(q: &[usize], n: usize) -> bool {
+    let mut seen = vec![false; n];
+    q.len() == n
+        && q.iter()
+            .all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,13 +240,6 @@ mod tests {
             t.add(i, j, 1.0);
         }
         t.to_csc().unwrap().0
-    }
-
-    fn is_permutation(q: &[usize], n: usize) -> bool {
-        let mut seen = vec![false; n];
-        q.len() == n
-            && q.iter()
-                .all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
     }
 
     #[test]

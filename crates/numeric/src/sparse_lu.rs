@@ -34,7 +34,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::amd::amd_order;
+use crate::amd::{amd_order, is_permutation};
 use crate::sparse::CscMatrix;
 use crate::{NumericError, Result};
 
@@ -103,12 +103,7 @@ impl SparseLu {
     pub fn factorize_with_order(a: &CscMatrix, q: &[usize]) -> Result<Self> {
         check_square(a)?;
         let n = a.n_rows();
-        let mut seen = vec![false; n];
-        if q.len() != n
-            || !q
-                .iter()
-                .all(|&c| c < n && !std::mem::replace(&mut seen[c], true))
-        {
+        if !is_permutation(q, n) {
             return Err(NumericError::DimensionMismatch {
                 expected: format!("a permutation of 0..{n}"),
                 found: format!("column order of len {}", q.len()),
@@ -965,13 +960,6 @@ mod tests {
         let (a, _) = t.to_csc().unwrap();
         let b: Vec<f64> = (0..n).map(|_| rng.uniform(-0.5, 0.5)).collect();
         (a, b)
-    }
-
-    fn is_permutation(q: &[usize], n: usize) -> bool {
-        let mut seen = vec![false; n];
-        q.len() == n
-            && q.iter()
-                .all(|&c| c < n && !std::mem::replace(&mut seen[c], true))
     }
 
     fn assert_matches_dense(a: &CscMatrix, b: &[f64], what: &str) {

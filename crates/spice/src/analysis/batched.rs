@@ -369,6 +369,23 @@ impl BatchedMna {
             .copy_from_slice(&self.lane_vals[lane * nnz..(lane + 1) * nnz]);
     }
 
+    /// Gives `lane` (whose values are in `csc`) a private factorization,
+    /// re-pivoted over the shared column order, after its reused pivot
+    /// order degraded.
+    fn repivot_privately(&mut self, lane: usize) -> std::result::Result<(), NumericError> {
+        let _obs = tcam_obs::span!("lu_factorize");
+        let q = self
+            .backend
+            .as_ref()
+            .expect("seeded before any refactorize")
+            .column_order();
+        let lu = SparseLu::factorize_with_order(&self.csc, q)?;
+        self.stats[lane].fresh_factorizations += 1;
+        self.stats[lane].factor_nnz = lu.factor_nnz();
+        self.overrides[lane] = Some(lu);
+        Ok(())
+    }
+
     /// Factorizes and solves every `active` lane against its refilled
     /// matrix/RHS, writing each solution into `out[lane]` (resized to fit).
     /// Returns a per-lane error slot: `None` means `out[lane]` is valid.
@@ -440,16 +457,7 @@ impl BatchedMna {
                         // the shared column order.
                         batch_mask[lane] = false;
                         self.gather_values_into_csc(lane);
-                        let _obs = tcam_obs::span!("lu_factorize");
-                        let q = self.backend.as_ref().expect("seeded above").column_order();
-                        match SparseLu::factorize_with_order(&self.csc, q) {
-                            Ok(lu) => {
-                                self.stats[lane].fresh_factorizations += 1;
-                                self.stats[lane].factor_nnz = lu.factor_nnz();
-                                self.overrides[lane] = Some(lu);
-                            }
-                            Err(e) => errs[lane] = Some(e),
-                        }
+                        errs[lane] = self.repivot_privately(lane).err();
                     }
                     Some(e) => {
                         batch_mask[lane] = false;
@@ -478,16 +486,7 @@ impl BatchedMna {
             match refac {
                 Ok(()) => self.stats[lane].refactorizations += 1,
                 Err(NumericError::PivotDegraded { .. }) => {
-                    let _obs = tcam_obs::span!("lu_factorize");
-                    let q = self.backend.as_ref().expect("seeded above").column_order();
-                    match SparseLu::factorize_with_order(&self.csc, q) {
-                        Ok(lu) => {
-                            self.stats[lane].fresh_factorizations += 1;
-                            self.stats[lane].factor_nnz = lu.factor_nnz();
-                            self.overrides[lane] = Some(lu);
-                        }
-                        Err(e) => errs[lane] = Some(e),
-                    }
+                    errs[lane] = self.repivot_privately(lane).err();
                 }
                 Err(e) => errs[lane] = Some(e),
             }
