@@ -370,8 +370,8 @@ fn main() {
     if has_flag("stats") {
         println!("\n[--stats] solver statistics, worst-case search transient");
         println!(
-            "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10}",
-            "design", "fresh", "refactor", "nr iters", "accepted", "rejected"
+            "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>8}",
+            "design", "fresh", "refactor", "nr iters", "accepted", "rejected", "L+U"
         );
         let stored = pattern_word(spec.cols);
         let key = mismatch_key(spec.cols);
@@ -381,13 +381,14 @@ fn main() {
                 .and_then(run_search);
             match outcome.map(|r| r.waveform.stats()) {
                 Ok(Some(s)) => println!(
-                    "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10}",
+                    "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>8}",
                     design.name(),
                     s.fresh_factorizations,
                     s.refactorizations,
                     s.nr_iterations,
                     s.steps_accepted,
-                    s.steps_rejected
+                    s.steps_rejected,
+                    s.factor_nnz
                 ),
                 Ok(None) => println!("{:<12} (no stats recorded)", design.name()),
                 Err(e) => println!("{:<12} failed: {e}", design.name()),
