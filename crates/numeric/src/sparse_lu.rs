@@ -962,6 +962,26 @@ mod tests {
         (a, b)
     }
 
+    /// An unsymmetric random pattern: a dominant diagonal, about three
+    /// scattered off-diagonals per column, and unknown 1 coupled to every
+    /// other one (a hub that the ordering must keep for last).
+    fn scatter_system(n: usize, rng: &mut SplitMix64) -> (CscMatrix, Vec<f64>) {
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            t.add(i, i, 4.0 + rng.uniform(-0.5, 0.5));
+            if n > 1 && i != 1 {
+                t.add(1, i, rng.uniform(-0.1, 0.1));
+            }
+        }
+        for _ in 0..3 * n {
+            let (i, j) = (rng.below(n as u64) as usize, rng.below(n as u64) as usize);
+            t.add(i, j, rng.uniform(-0.5, 0.5));
+        }
+        let (a, _) = t.to_csc().unwrap();
+        let b: Vec<f64> = (0..n).map(|_| rng.uniform(-0.5, 0.5)).collect();
+        (a, b)
+    }
+
     fn assert_matches_dense(a: &CscMatrix, b: &[f64], what: &str) {
         let xs = SparseLu::factorize(a).unwrap().solve(b).unwrap();
         let xd = a.to_dense().solve(b).unwrap();
@@ -978,6 +998,8 @@ mod tests {
             assert_matches_dense(&a, &b, &format!("ring n={n}"));
             let (a, b) = arrow_system(n, &mut rng);
             assert_matches_dense(&a, &b, &format!("arrow n={n}"));
+            let (a, b) = scatter_system(n, &mut rng);
+            assert_matches_dense(&a, &b, &format!("scatter n={n}"));
         }
     }
 
@@ -985,7 +1007,12 @@ mod tests {
     fn column_order_is_a_permutation() {
         let mut rng = SplitMix64::new(5);
         for n in [1usize, 2, 7, 40, 300] {
-            for (a, _) in [ring_system(n, &mut rng), arrow_system(n, &mut rng)] {
+            let systems = [
+                ring_system(n, &mut rng),
+                arrow_system(n, &mut rng),
+                scatter_system(n, &mut rng),
+            ];
+            for (a, _) in systems {
                 let lu = SparseLu::factorize(&a).unwrap();
                 assert!(is_permutation(lu.column_order(), n), "n={n}");
             }
@@ -997,24 +1024,38 @@ mod tests {
         let mut rng = SplitMix64::new(17);
         let n = 200;
         let (a, b) = arrow_system(n, &mut rng);
-        let lu = SparseLu::factorize(&a).unwrap();
-        assert!(
-            lu.factor_nnz() <= 2 * a.nnz(),
-            "ordered fill {} vs nnz(A) {}",
-            lu.factor_nnz(),
-            a.nnz()
-        );
-        // Natural order eliminates the border first and fills everything.
-        let identity: Vec<usize> = (0..n).collect();
-        let natural = SparseLu::factorize_with_order(&a, &identity).unwrap();
-        assert!(
-            natural.factor_nnz() >= n * n,
-            "natural fill {}",
-            natural.factor_nnz()
-        );
-        let (xo, xn) = (lu.solve(&b).unwrap(), natural.solve(&b).unwrap());
-        for (o, m) in xo.iter().zip(&xn) {
-            assert!((o - m).abs() < 1e-12);
+        // Same pattern with each leaf column's border entry (row 0) larger
+        // than its diagonal: a pure magnitude pivot takes the border row in
+        // the first leaf column, and every later leaf column then picks up
+        // fill through it (2.5x nnz(A) here); the diagonal preference keeps
+        // the fill at the pattern's own size.
+        let mut weak_diag = a.clone();
+        for col in 1..n {
+            let idx = a.col_ptr()[col];
+            assert_eq!(a.row_idx()[idx], 0, "row 0 leads each column");
+            weak_diag.values_mut()[idx] = 5.0 + rng.uniform(0.0, 1.0);
+        }
+        for a in [a, weak_diag] {
+            let lu = SparseLu::factorize(&a).unwrap();
+            assert!(
+                lu.factor_nnz() <= 2 * a.nnz(),
+                "ordered fill {} vs nnz(A) {}",
+                lu.factor_nnz(),
+                a.nnz()
+            );
+            // Natural order eliminates the border first and fills
+            // everything.
+            let identity: Vec<usize> = (0..n).collect();
+            let natural = SparseLu::factorize_with_order(&a, &identity).unwrap();
+            assert!(
+                natural.factor_nnz() >= n * n,
+                "natural fill {}",
+                natural.factor_nnz()
+            );
+            let (xo, xn) = (lu.solve(&b).unwrap(), natural.solve(&b).unwrap());
+            for (o, m) in xo.iter().zip(&xn) {
+                assert!((o - m).abs() < 1e-12);
+            }
         }
     }
 
