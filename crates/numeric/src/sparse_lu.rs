@@ -13,10 +13,10 @@
 //! columns are eliminated in an approximate-minimum-degree order `q`
 //! computed on the pattern of `A + Aᵀ` (the crate's `amd` module), and the
 //! pivot of column `q[k]` is its diagonal row `q[k]` whenever that entry is
-//! within [`REFACTOR_PIVOT_TOL`] of the column's largest candidate, which
-//! keeps the symmetric order's low fill; otherwise (e.g. the structurally
-//! zero diagonal of a voltage-source branch row) the largest candidate
-//! wins. The factorization is `P·A·Q = L·U`.
+//! within `REFACTOR_PIVOT_TOL` (1e-3) of the column's largest candidate,
+//! which keeps the symmetric order's low fill; otherwise (e.g. the
+//! structurally zero diagonal of a voltage-source branch row) the largest
+//! candidate wins. The factorization is `P·A·Q = L·U`.
 //!
 //! Circuit matrices have a **fixed sparsity pattern** across Newton
 //! iterations and time steps — only the values change. [`SparseLu::factorize`]
