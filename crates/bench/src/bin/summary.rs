@@ -14,7 +14,8 @@
 //! anything. `trace_bench` records additionally get an SLO/tracing
 //! digest of the latest record.
 //!
-//! With `--stats` it additionally prints per-design solver statistics
+//! With `--stats` it additionally prints solver statistics for each
+//! design's search transient and for the OSR and retention transients,
 //! and, when `BENCH_acam.json` is present, a digest of the recorded
 //! `acam_bench` runs (kernel speedup spread, classifier accuracy, and
 //! the latest behavioral accuracy-vs-σ curve).
@@ -32,6 +33,7 @@ use tcam_core::metrics::{
 };
 use tcam_core::osr::V_REFRESH;
 use tcam_spice::units::format_si;
+use tcam_spice::waveform::Waveform;
 
 /// Merges bench record files: dedupes identical lines, groups by the
 /// `"bench"` field (file stem when absent), folds `phase_*_ns` /
@@ -250,6 +252,25 @@ fn acam_stats() {
     }
 }
 
+/// One row of the `--stats` solver table: the solve statistics of a
+/// transient's waveform, or why there are none.
+fn stats_row<E: std::fmt::Display>(name: &str, wave: Result<&Waveform, E>) {
+    match wave.map(Waveform::stats) {
+        Ok(Some(s)) => println!(
+            "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>8}",
+            name,
+            s.fresh_factorizations,
+            s.refactorizations,
+            s.nr_iterations,
+            s.steps_accepted,
+            s.steps_rejected,
+            s.factor_nnz
+        ),
+        Ok(None) => println!("{name:<12} (no stats recorded)"),
+        Err(e) => println!("{name:<12} failed: {e}"),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--aggregate") {
@@ -323,7 +344,8 @@ fn main() {
 
     // R1–R3 + F4 — refresh.
     println!("\n[R1-R3] one-shot refresh / retention / refresh power");
-    match refresh_study(&spec, V_REFRESH) {
+    let refresh = refresh_study(&spec, V_REFRESH);
+    match &refresh {
         Ok(r) => {
             println!(
                 "  OSR energy {} (paper 520 fJ), states {}",
@@ -366,12 +388,13 @@ fn main() {
     );
     // Optional: per-design solver statistics for the F7 mismatch search,
     // showing the cached-LU path at work (fresh factorizations stay in the
-    // low single digits; refactorizations track the NR iteration count).
+    // low single digits; refactorizations track the NR iteration count),
+    // then the 3T2N OSR and retention transients of R1–R3.
     if has_flag("stats") {
-        println!("\n[--stats] solver statistics, worst-case search transient");
+        println!("\n[--stats] solver statistics, worst-case search transient, OSR and retention");
         println!(
             "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>8}",
-            "design", "fresh", "refactor", "nr iters", "accepted", "rejected", "L+U"
+            "transient", "fresh", "refactor", "nr iters", "accepted", "rejected", "L+U"
         );
         let stored = pattern_word(spec.cols);
         let key = mismatch_key(spec.cols);
@@ -379,21 +402,11 @@ fn main() {
             let outcome = design
                 .build_search(&spec, &stored, &key)
                 .and_then(run_search);
-            match outcome.map(|r| r.waveform.stats()) {
-                Ok(Some(s)) => println!(
-                    "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>8}",
-                    design.name(),
-                    s.fresh_factorizations,
-                    s.refactorizations,
-                    s.nr_iterations,
-                    s.steps_accepted,
-                    s.steps_rejected,
-                    s.factor_nnz
-                ),
-                Ok(None) => println!("{:<12} (no stats recorded)", design.name()),
-                Err(e) => println!("{:<12} failed: {e}", design.name()),
-            }
+            stats_row(design.name(), outcome.as_ref().map(|r| &r.waveform));
         }
+        let refresh = refresh.as_ref();
+        stats_row("3T2N OSR", refresh.map(|r| &r.osr.waveform));
+        stats_row("retention", refresh.map(|r| &r.retention.waveform));
         acam_stats();
     }
 

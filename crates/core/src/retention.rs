@@ -79,11 +79,10 @@ pub fn run_retention(
     ckt.add(VoltageSource::dc("vbl", bl, gnd, 0.0))?;
     ckt.add(VoltageSource::dc("vblb", blb, gnd, 0.0))?;
 
-    // Long-horizon run: loosen the LTE knob (the decay is a µs-scale ramp)
-    // and let steps grow.
-    // The default gmin (1 pS) would swamp the picoamp subthreshold leakage
-    // that sets retention; drop it to attosiemens for this analysis. The
-    // decay is a µs-scale ramp, so the LTE knob loosens and steps grow.
+    // Long-horizon run: the decay is a µs-scale ramp, so the LTE knob
+    // loosens and steps grow. The default gmin (1 pS) would swamp the
+    // picoamp subthreshold leakage that sets retention; drop it to
+    // attosiemens for this analysis.
     let opts = SimOptions {
         dt_max: t_max / 500.0,
         lte_tol: 5e-3,
@@ -123,6 +122,26 @@ mod tests {
         );
         let p = res.refresh_power(520e-15).unwrap();
         assert!(p > 1e-9 && p < 2e-7, "refresh power = {p:.3e} W");
+    }
+
+    #[test]
+    fn quasi_static_beams_keep_the_step_count_small() {
+        // Once released, the relay follows the decaying gate slowly; that
+        // stretch must run at the quasi-static step; the τ_mech/50
+        // in-flight cap would take about 200 000 steps.
+        let spec = ArraySpec {
+            rows: 32,
+            cols: 32,
+            vdd: 1.0,
+        };
+        let res = run_retention(&Nem3t2n::default(), &spec, crate::osr::V_REFRESH, 100e-6).unwrap();
+        let steps = res.waveform.stats().unwrap().steps_accepted;
+        assert!(steps <= 20_000, "{steps} accepted steps");
+        let t = res.retention.expect("releases within 100 µs");
+        assert!(
+            ((t - 28.585e-6) / 28.585e-6).abs() < 1e-6,
+            "retention = {t:.6e}s"
+        );
     }
 
     #[test]

@@ -72,6 +72,26 @@ impl BeamParams {
         (f_release * 2.0 * gap * gap / (EPSILON_0 * self.area)).sqrt()
     }
 
+    /// Whether a beam held at contact stays there under gate voltage `v`:
+    /// electrostatics plus adhesion at least match the spring.
+    #[must_use]
+    pub(crate) fn holds_contact(&self, v: f64) -> bool {
+        self.k * self.g_contact <= self.f_electrostatic(v, self.g_contact) + self.f_adhesion
+    }
+
+    /// Whether travel `x` lies within `tol` of the stable equilibrium for
+    /// gate voltage `v` — the distance [`Self::equilibrium`] would give,
+    /// from two force evaluations instead of a bisection. On the stable
+    /// branch the net force `F_e − k·x` is positive below the equilibrium
+    /// and negative above it, so `x` is near iff the force changes sign
+    /// across `[x − tol, x + tol]`. `false` when `v ≥ V_PI`: the net force
+    /// then never turns negative, as no stable free position exists.
+    #[must_use]
+    pub(crate) fn near_equilibrium(&self, v: f64, x: f64, tol: f64) -> bool {
+        let net = |x: f64| self.f_electrostatic(v, x) - self.k * x;
+        net(x - tol) >= 0.0 && net(x + tol) <= 0.0
+    }
+
     /// Undamped natural angular frequency `√(k/m)`.
     #[must_use]
     pub fn omega0(&self) -> f64 {
@@ -155,6 +175,11 @@ pub fn advance(
     dt_sub: f64,
 ) {
     debug_assert!(dt > 0.0 && dt_sub > 0.0);
+    // A released beam at rest under 0 V stays put: every RK4 stage below
+    // is exactly zero, so skipping them leaves the state bit-identical.
+    if !state.contacted && state.x == 0.0 && state.v == 0.0 && v_start == 0.0 && v_end == 0.0 {
+        return;
+    }
     let n_sub = ((dt / dt_sub).ceil() as usize).clamp(1, 100_000);
     let h = dt / n_sub as f64;
 
@@ -167,8 +192,7 @@ pub fn advance(
 
         if state.contacted {
             // Held at contact: check adhesive release.
-            let f_hold = params.f_electrostatic(v1, params.g_contact) + params.f_adhesion;
-            if params.k * params.g_contact > f_hold {
+            if !params.holds_contact(v1) {
                 state.contacted = false;
                 state.x = params.g_contact;
                 state.v = 0.0;
@@ -268,6 +292,35 @@ mod tests {
     fn equilibrium_at_zero_volts_is_rest() {
         let p = params();
         assert_eq!(p.equilibrium(0.0), Some(0.0));
+    }
+
+    #[test]
+    fn near_equilibrium_matches_the_bisected_distance() {
+        let p = params();
+        let tol = 1e-3 * p.g_contact;
+        for i in 0..=20 {
+            let v = f64::from(i) * 0.025; // 0 … 0.5 V, below V_PI
+            let x_eq = p.equilibrium(v).unwrap();
+            for j in -30_i32..=30 {
+                let x = x_eq + f64::from(j) * 0.1 * tol;
+                if x < 0.0 || j.abs() == 10 {
+                    continue; // travel is never negative; skip the band edge
+                }
+                let near = (x - x_eq).abs() <= tol;
+                assert_eq!(p.near_equilibrium(v, x, tol), near, "v {v} x {x:e}");
+            }
+        }
+        // No stable position at or above V_PI: never near.
+        let v_pi = p.v_pull_in();
+        assert!((0..=10).all(|i| !p.near_equilibrium(v_pi, f64::from(i) * p.g0 / 30.0, tol)));
+    }
+
+    #[test]
+    fn holds_contact_switches_at_pull_out() {
+        let p = params();
+        assert!(p.holds_contact(1.01 * p.v_pull_out()));
+        assert!(!p.holds_contact(0.99 * p.v_pull_out()));
+        assert!(!p.holds_contact(0.0));
     }
 
     #[test]
